@@ -13,11 +13,13 @@ launch the same jobs.
 import numpy as np
 from conftest import save_and_print
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
-from repro.core import JobRequest, PriorityClass, TetriSched, TetriSchedConfig
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.core.compiler import StrlCompiler
 from repro.experiments import format_table
-from repro.solver import BranchBoundOptions, BranchBoundSolver
+from repro.solver import (BranchBoundOptions, BranchBoundSolver,
+                          SolveOptions)
 from repro.strl import SpaceOption
 from repro.valuefn import StepValue
 
@@ -26,7 +28,7 @@ def build_scheduler(warm):
     cluster = Cluster.build(racks=2, nodes_per_rack=4, gpu_racks=1)
     cfg = TetriSchedConfig(quantum_s=10, cycle_s=10, plan_ahead_s=60,
                            backend="pure", rel_gap=1e-6, warm_start=warm)
-    sched = TetriSched(cluster, cfg)
+    sched = Scheduler.open(cluster, cfg).core
     for i in range(6):
         sched.submit(JobRequest(
             f"j{i}", options=(SpaceOption(cluster.node_names, k=4,
@@ -47,7 +49,8 @@ def second_cycle_nodes(warm: bool) -> tuple[int, int]:
     compiled = StrlCompiler(sched.state, 10.0, 10.0).compile(exprs)
     seed = sched._build_warm_start(compiled, 10.0) if warm else None
     solver = BranchBoundSolver(BranchBoundOptions(rel_gap=1e-6))
-    res = solver.solve(compiled.model, warm_start=seed)
+    res = solver.solve(compiled.model,
+                       options=SolveOptions(warm_start=seed))
     return res.nodes, res.objective
 
 

@@ -15,15 +15,15 @@ make informed deferral decisions instead of hoarding or settling.
 Run:  python examples/gpu_soft_constraints.py
 """
 
-from repro import (Cluster, JobRequest, PriorityClass, SpaceOption,
-                   TetriSched, TetriSchedConfig)
+from repro import (Cluster, JobRequest, PriorityClass, Scheduler,
+                   SpaceOption, TetriSchedConfig)
 from repro.valuefn import StepValue
 
 
 def drive(plan_ahead_s: float) -> str:
     cluster = Cluster.build(racks=2, nodes_per_rack=2, gpu_racks=1)
     gpu_nodes = cluster.nodes_with_attr("gpu")
-    sched = TetriSched(cluster, TetriSchedConfig(
+    sched = Scheduler.open(cluster, TetriSchedConfig(
         quantum_s=10, cycle_s=10, plan_ahead_s=plan_ahead_s,
         backend="auto", rel_gap=1e-6))
 
@@ -41,7 +41,7 @@ def drive(plan_ahead_s: float) -> str:
     log = []
     for now in (0.0, 10.0, 20.0, 30.0):
         if now == 10.0:
-            sched.on_job_finished("gpu-holder", now)
+            sched.job_finished("gpu-holder", now)
         result = sched.run_cycle(now)
         for alloc in result.allocations:
             placement = ("GPU rack" if alloc.nodes <= gpu_nodes

@@ -14,14 +14,14 @@ the jobs to TetriSched and prints the schedule it actually produces.
 Run:  python examples/quickstart.py
 """
 
-from repro import (Cluster, JobRequest, PriorityClass, SpaceOption,
-                   TetriSched, TetriSchedConfig)
+from repro import (Cluster, JobRequest, PriorityClass, Scheduler,
+                   SpaceOption, TetriSchedConfig)
 from repro.valuefn import StepValue
 
 
 def main() -> None:
     cluster = Cluster.build(racks=1, nodes_per_rack=3)
-    sched = TetriSched(cluster, TetriSchedConfig(
+    sched = Scheduler.open(cluster, TetriSchedConfig(
         quantum_s=10, cycle_s=10, plan_ahead_s=30, backend="auto",
         rel_gap=1e-6))
 
@@ -47,7 +47,7 @@ def main() -> None:
         # Complete anything due before/at this cycle.
         for job_id, end in sorted(running.items(), key=lambda kv: kv[1]):
             if end <= now:
-                sched.on_job_finished(job_id, end)
+                sched.job_finished(job_id, end)
                 finished.append((job_id, end))
                 del running[job_id]
         result = sched.run_cycle(now)

@@ -19,9 +19,7 @@ or a compact topology spec string (``"8x32"`` = 8 racks of 32 nodes,
 the documented defaults and the merged config is validated up front
 (:func:`~repro.core.scheduler.resolve_config`).
 
-Direct ``TetriSched(...)`` construction keeps working for one release
-behind a ``DeprecationWarning``; everything else in the repo constructs
-through this facade.
+Everything in the repo constructs schedulers through this facade.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ class Scheduler:
         """
         if isinstance(cluster, str):
             cluster = _parse_cluster_spec(cluster)
-        return cls(TetriSched._from_api(cluster, config))
+        return cls(TetriSched(cluster, config))
 
     # -- the underlying pieces ----------------------------------------------
     @property

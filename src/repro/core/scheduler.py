@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +53,7 @@ from repro.pipeline.driver import global_pipeline, greedy_pipeline
 from repro.solver.backend import make_backend
 from repro.solver.options import UNSET, SolveOptions, is_set
 from repro.solver.parallel import ComponentCache
+from repro.solver.stats import SolverStats
 from repro.strl.ast import Max, NCk, StrlNode
 from repro.strl.generator import (DEFAULT_EARLINESS_BIAS, SpaceOption,
                                   generate_elastic_strl, generate_job_strl,
@@ -349,58 +349,20 @@ def resolve_config(config: TetriSchedConfig | None) -> TetriSchedConfig:
     return config.validate()
 
 
-@dataclass
-class CycleStats:
-    """Per-cycle observability record (drives Fig. 12)."""
+@dataclass(kw_only=True)
+class CycleStats(SolverStats):
+    """Per-cycle observability record (drives Fig. 12).
+
+    The solver counters are the inherited :class:`SolverStats` fields,
+    which the cycle's pipeline stages fold results into directly; the
+    fields below describe the rest of the cycle.
+    """
 
     now: float
-    pending: int
-    launched: int
-    culled: int
-    solver_latency_s: float
-    cycle_latency_s: float
-    milp_variables: int = 0
-    milp_constraints: int = 0
-    objective: float = 0.0
-    solves: int = 0
-    #: Branch-and-bound nodes explored across this cycle's solves.
-    solver_nodes: int = 0
-    #: LP-relaxation (simplex) iterations across this cycle's solves.
-    lp_iterations: int = 0
-    #: Revised-simplex engine work: dual pivots spent in warm restarts,
-    #: basis refactorizations, warm restarts attempted / succeeded.
-    lp_dual_pivots: int = 0
-    lp_refactorizations: int = 0
-    lp_warm_restarts: int = 0
-    lp_warm_hits: int = 0
-    #: Basis-factorization work: total factorizations (cold + refactor),
-    #: Forrest–Tomlin basis updates applied in place, columns examined by
-    #: partial pricing, and the worst factor fill ratio
-    #: (``nnz(L+U+etas) / nnz(B)``) seen across this cycle's solves.
-    lp_factorizations: int = 0
-    lp_ft_updates: int = 0
-    lp_pricing_candidates: int = 0
-    lp_fill_ratio: float = 0.0
-    #: Whether a warm start was attempted / produced a feasible seed.
-    warm_start_attempted: bool = False
-    warm_start_hit: bool = False
-    #: Independent MILP components solved this cycle (0 = no global solve).
-    components: int = 0
-    #: Stored nonzeros in the cycle MILP's sparse export.
-    milp_nonzeros: int = 0
-    #: Component-cache exact hits (result replayed without solving) and
-    #: structural near-misses (cached solution donated as a warm start).
-    cache_hits: int = 0
-    cache_warm_hits: int = 0
-    #: Repair-path telemetry: column-generation pricing rounds, columns
-    #: activated by pricing, worst audited (LP-bound) gap across this
-    #: cycle's repaired solves, and escalations to exact branch and bound.
-    colgen_rounds: int = 0
-    colgen_columns_priced: int = 0
-    repair_gap: float = 0.0
-    repair_escalations: int = 0
-    #: Component-cache LRU evictions observed during this cycle's solves.
-    cache_evictions: int = 0
+    pending: int = 0
+    launched: int = 0
+    culled: int = 0
+    cycle_latency_s: float = 0.0
     #: Jobs cancelled by :meth:`TetriSched.cancel` and drained this cycle.
     cancelled: int = 0
     #: Delta-compilation accounting (``delta_mode != off``; zero otherwise).
@@ -450,63 +412,6 @@ class CycleStats:
 
 
 @dataclass
-class SolveTelemetry:
-    """Solver-side numbers one cycle accumulates (shared by both modes)."""
-
-    solver_latency_s: float = 0.0
-    solves: int = 0
-    milp_variables: int = 0
-    milp_constraints: int = 0
-    objective: float = 0.0
-    solver_nodes: int = 0
-    lp_iterations: int = 0
-    lp_dual_pivots: int = 0
-    lp_refactorizations: int = 0
-    lp_warm_restarts: int = 0
-    lp_warm_hits: int = 0
-    lp_factorizations: int = 0
-    lp_ft_updates: int = 0
-    lp_pricing_candidates: int = 0
-    lp_fill_ratio: float = 0.0
-    warm_start_attempted: bool = False
-    warm_start_hit: bool = False
-    cache_hits: int = 0
-    cache_warm_hits: int = 0
-    colgen_rounds: int = 0
-    colgen_columns_priced: int = 0
-    repair_gap: float = 0.0
-    repair_escalations: int = 0
-    cache_evictions: int = 0
-
-    def absorb(self, res) -> None:
-        """Fold one :class:`~repro.solver.result.MILPResult` in."""
-        self.solves += 1
-        self.solver_nodes += res.nodes
-        self.lp_iterations += int(res.stats.get("lp_iterations", 0))
-        self.lp_dual_pivots += int(res.stats.get("lp_dual_pivots", 0))
-        self.lp_refactorizations += int(res.stats.get("lp_refactorizations", 0))
-        self.lp_warm_restarts += int(res.stats.get("lp_warm_restarts", 0))
-        self.lp_warm_hits += int(res.stats.get("lp_warm_hits", 0))
-        self.lp_factorizations += int(res.stats.get("lp_factorizations", 0))
-        self.lp_ft_updates += int(res.stats.get("lp_ft_updates", 0))
-        self.lp_pricing_candidates += int(
-            res.stats.get("lp_pricing_candidates", 0))
-        # Worst factor fill across this cycle's solves (a max, not a sum).
-        self.lp_fill_ratio = max(self.lp_fill_ratio,
-                                 float(res.stats.get("lp_fill_ratio", 0.0)))
-        self.cache_hits += int(res.stats.get("cache_hits", 0))
-        self.cache_warm_hits += int(res.stats.get("cache_warm_hits", 0))
-        self.cache_evictions += int(res.stats.get("cache_evictions", 0))
-        self.colgen_rounds += int(res.stats.get("colgen_rounds", 0))
-        self.colgen_columns_priced += int(
-            res.stats.get("colgen_columns_priced", 0))
-        # Worst audited gap across this cycle's repaired solves.
-        self.repair_gap = max(self.repair_gap,
-                              float(res.stats.get("repair_gap", 0.0)))
-        self.repair_escalations += int(res.stats.get("repair_escalations", 0))
-
-
-@dataclass
 class CycleResult:
     """What a scheduling cycle decided."""
 
@@ -528,8 +433,7 @@ class CycleResult:
 class TetriSched:
     """The scheduler: queue management + per-cycle global rescheduling.
 
-    Construct through the :mod:`repro.api` facade — direct construction
-    still works for one release but warns:
+    Construct through the :mod:`repro.api` facade:
 
     >>> from repro.api import Scheduler
     >>> from repro.cluster import Cluster
@@ -541,23 +445,6 @@ class TetriSched:
 
     def __init__(self, cluster: Cluster,
                  config: TetriSchedConfig | None = None) -> None:
-        warnings.warn(
-            "direct TetriSched(...) construction is deprecated; build "
-            "schedulers through repro.api.Scheduler.open(cluster, config) "
-            "(this shim is kept for one release)",
-            DeprecationWarning, stacklevel=2)
-        self._init(cluster, config)
-
-    @classmethod
-    def _from_api(cls, cluster: Cluster,
-                  config: TetriSchedConfig | None = None) -> "TetriSched":
-        """The facade's constructor (no deprecation shim)."""
-        self = cls.__new__(cls)
-        self._init(cluster, config)
-        return self
-
-    def _init(self, cluster: Cluster,
-              config: TetriSchedConfig | None) -> None:
         self.cluster = cluster
         self.config = resolve_config(config)
         self.state = ClusterState(cluster.node_names)
@@ -678,9 +565,9 @@ class TetriSched:
         result = CycleResult()
         result.cancelled.extend(self._drain_cancellations())
         self._congestion = self._elastic_congestion()
-        tel = SolveTelemetry()
+        stats = CycleStats(now=now)
         ctx = CycleContext(scheduler=self, now=now, result=result,
-                           telemetry=tel)
+                           stats=stats)
         if self._sharded_pipeline is not None:
             pipeline = self._sharded_pipeline
         elif self.config.global_scheduling:
@@ -718,46 +605,22 @@ class TetriSched:
                               if self.state.is_running(job_id)]
         result.cancelled.extend(self._drain_cancellations())
 
+        stats.pending = self.pending_count
+        stats.launched = len(result.allocations)
+        stats.culled = len(result.culled)
+        stats.cycle_latency_s = time.monotonic() - t_cycle
+        stats.cancelled = len(result.cancelled)
+        stats.elastic_offered = len(ctx.resizable)
+        stats.elastic_resized = len(result.resized)
+        stats.elastic_congested = self._congestion[0]
+        stats.elastic_width_cap = self._congestion[1] or 0
         delta = ctx.delta
-        stats = CycleStats(
-            now=now, pending=self.pending_count,
-            launched=len(result.allocations), culled=len(result.culled),
-            solver_latency_s=tel.solver_latency_s,
-            cycle_latency_s=time.monotonic() - t_cycle,
-            milp_variables=tel.milp_variables,
-            milp_constraints=tel.milp_constraints,
-            objective=tel.objective, solves=tel.solves,
-            solver_nodes=tel.solver_nodes, lp_iterations=tel.lp_iterations,
-            lp_dual_pivots=tel.lp_dual_pivots,
-            lp_refactorizations=tel.lp_refactorizations,
-            lp_warm_restarts=tel.lp_warm_restarts,
-            lp_warm_hits=tel.lp_warm_hits,
-            lp_factorizations=tel.lp_factorizations,
-            lp_ft_updates=tel.lp_ft_updates,
-            lp_pricing_candidates=tel.lp_pricing_candidates,
-            lp_fill_ratio=tel.lp_fill_ratio,
-            warm_start_attempted=tel.warm_start_attempted,
-            warm_start_hit=tel.warm_start_hit,
-            components=ctx.components, milp_nonzeros=ctx.nnz,
-            cache_hits=tel.cache_hits, cache_warm_hits=tel.cache_warm_hits,
-            colgen_rounds=tel.colgen_rounds,
-            colgen_columns_priced=tel.colgen_columns_priced,
-            repair_gap=tel.repair_gap,
-            repair_escalations=tel.repair_escalations,
-            cache_evictions=tel.cache_evictions,
-            cancelled=len(result.cancelled),
-            elastic_offered=len(ctx.resizable),
-            elastic_resized=len(result.resized),
-            elastic_grown=ctx.resize_grown,
-            elastic_shrunk=ctx.resize_shrunk,
-            elastic_congested=self._congestion[0],
-            elastic_width_cap=self._congestion[1] or 0,
-            jobs_dirty=delta.jobs_dirty if delta else 0,
-            jobs_clean=delta.jobs_clean if delta else 0,
-            rows_patched=delta.rows_patched if delta else 0,
-            cols_patched=delta.cols_patched if delta else 0,
-            delta_full_rebuild=bool(delta and delta.full_rebuild),
-            stage_timings=dict(ctx.stage_timings))
+        if delta is not None:
+            stats.jobs_dirty = delta.jobs_dirty
+            stats.jobs_clean = delta.jobs_clean
+            stats.rows_patched = delta.rows_patched
+            stats.cols_patched = delta.cols_patched
+            stats.delta_full_rebuild = bool(delta.full_rebuild)
         if ctx.shard is not None:
             sh = ctx.shard
             stats.shard_domains = len(sh.active_domains())
@@ -959,7 +822,7 @@ class TetriSched:
 
     # -- greedy (-NG) scheduling -------------------------------------------------------
     def _cycle_greedy(self, exprs, requests, now,
-                      tel: SolveTelemetry) -> list[Allocation]:
+                      stats: SolverStats) -> list[Allocation]:
         """One-at-a-time scheduling in priority order (TetriSched-NG).
 
         Uses the full MILP formulation per job; each job's supply reflects
@@ -974,16 +837,16 @@ class TetriSched:
             with obs.span("compile"):
                 compiler = StrlCompiler(acc, self.config.quantum_s, now)
                 compiled = compiler.compile([(job_id, expr)])
-            tel.milp_variables += compiled.stats["variables"]
-            tel.milp_constraints += compiled.stats["constraints"]
+            stats.milp_variables += compiled.stats["variables"]
+            stats.milp_constraints += compiled.stats["constraints"]
             t0 = time.monotonic()
             with obs.span("solve"):
                 res = self._backend.solve(compiled.model)
-            tel.solver_latency_s += time.monotonic() - t0
-            tel.absorb(res)
+            stats.solver_latency_s += time.monotonic() - t0
+            stats.absorb(res)
             if not res.status.has_solution or res.x is None:
                 continue
-            tel.objective += res.objective
+            stats.objective += res.objective
             with obs.span("decode"):
                 placements = compiled.decode(res.x)
             # Reserve *all* chosen placements (incl. deferred) in the

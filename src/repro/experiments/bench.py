@@ -57,6 +57,7 @@ from repro.solver.branch_bound import BranchBoundOptions, BranchBoundSolver
 from repro.solver.options import SolveOptions
 from repro.solver.parallel import ComponentCache
 from repro.solver.repair import RepairSolver
+from repro.solver.stats import SolverStats
 from repro.strl.generator import SpaceOption
 from repro.valuefn import StepValue
 
@@ -211,14 +212,8 @@ def _run_pass(mode: BenchMode, backend: str, plan_ahead_s: float, racks: int,
     components: list[int] = []
     stage_s: dict[str, float] = {}
     launched = 0
-    nodes = lp_iters = 0
-    dual_pivots = refactorizations = warm_restarts = warm_hits = 0
-    factorizations = ft_updates = pricing_candidates = 0
-    fill_ratio = 0.0
+    work = SolverStats()
     nnz = variables = constraints = 0
-    cache_hits = cache_warm_hits = 0
-    colgen_rounds = colgen_priced = repair_escalations = 0
-    repair_gap = 0.0
     t0 = time.monotonic()
     for c in range(cycles):
         now = c * quantum_s
@@ -235,22 +230,7 @@ def _run_pass(mode: BenchMode, backend: str, plan_ahead_s: float, racks: int,
         objectives.append(stats.objective)
         components.append(stats.components)
         launched += stats.launched
-        nodes += stats.solver_nodes
-        lp_iters += stats.lp_iterations
-        dual_pivots += stats.lp_dual_pivots
-        refactorizations += stats.lp_refactorizations
-        warm_restarts += stats.lp_warm_restarts
-        warm_hits += stats.lp_warm_hits
-        factorizations += stats.lp_factorizations
-        ft_updates += stats.lp_ft_updates
-        pricing_candidates += stats.lp_pricing_candidates
-        fill_ratio = max(fill_ratio, stats.lp_fill_ratio)
-        cache_hits += stats.cache_hits
-        cache_warm_hits += stats.cache_warm_hits
-        colgen_rounds += stats.colgen_rounds
-        colgen_priced += stats.colgen_columns_priced
-        repair_escalations += stats.repair_escalations
-        repair_gap = max(repair_gap, stats.repair_gap)
+        work.merge(stats)
         nnz = max(nnz, stats.milp_nonzeros)
         variables = max(variables, stats.milp_variables)
         constraints = max(constraints, stats.milp_constraints)
@@ -265,16 +245,20 @@ def _run_pass(mode: BenchMode, backend: str, plan_ahead_s: float, racks: int,
         "wall_s": wall_s,
         "cycle_mean_ms": 1000.0 * wall_s / cycles,
         "stage_timings_s": stage_s,
-        "solver_nodes": nodes,
-        "lp_iterations": lp_iters,
-        "lp": {"engine": mode.lp_engine, "dual_pivots": dual_pivots,
-               "refactorizations": refactorizations,
-               "warm_restarts": warm_restarts, "warm_hits": warm_hits,
-               "factorizations": factorizations, "ft_updates": ft_updates,
-               "pricing_candidates": pricing_candidates,
-               "fill_ratio": fill_ratio},
+        "solver_nodes": work.solver_nodes,
+        "lp_iterations": work.lp_iterations,
+        "lp": {"engine": mode.lp_engine,
+               "dual_pivots": work.lp_dual_pivots,
+               "refactorizations": work.lp_refactorizations,
+               "warm_restarts": work.lp_warm_restarts,
+               "warm_hits": work.lp_warm_hits,
+               "factorizations": work.lp_factorizations,
+               "ft_updates": work.lp_ft_updates,
+               "pricing_candidates": work.lp_pricing_candidates,
+               "fill_ratio": work.lp_fill_ratio},
         "workers": workers if mode.workers else 0,
-        "cache": {"hits": cache_hits, "warm_hits": cache_warm_hits},
+        "cache": {"hits": work.cache_hits,
+                  "warm_hits": work.cache_warm_hits},
         "milp": {"variables": variables, "constraints": constraints,
                  "nonzeros": nnz},
     }
@@ -284,10 +268,10 @@ def _run_pass(mode: BenchMode, backend: str, plan_ahead_s: float, racks: int,
         # claimed bound and gap matched an independent recomputation.
         entry["repair"] = {
             "mode": mode.solve_mode,
-            "gap": repair_gap,
-            "colgen_rounds": colgen_rounds,
-            "columns_priced": colgen_priced,
-            "escalations": repair_escalations,
+            "gap": work.repair_gap,
+            "colgen_rounds": work.colgen_rounds,
+            "columns_priced": work.colgen_columns_priced,
+            "escalations": work.repair_escalations,
         }
     return entry
 
@@ -499,8 +483,7 @@ def _lp_pass(backend_name: str, lp_engine: str | None, racks: int,
             rel_gap=_REL_TOL, lp_engine=lp_engine, arrays="sparse"))
     objectives: list[float] = []
     solve_s = 0.0
-    iters = factorizations = ft_updates = pricing = 0
-    fill = 0.0
+    work = SolverStats()
     t0 = time.monotonic()
     for c in range(cycles):
         now = c * quantum_s
@@ -513,20 +496,16 @@ def _lp_pass(backend_name: str, lp_engine: str | None, racks: int,
         stats = sched.run_cycle(now).stats
         objectives.append(stats.objective)
         solve_s += stats.stage_timings.get("solve", 0.0)
-        iters += stats.lp_iterations
-        factorizations += stats.lp_factorizations
-        ft_updates += stats.lp_ft_updates
-        pricing += stats.lp_pricing_candidates
-        fill = max(fill, stats.lp_fill_ratio)
+        work.merge(stats)
     return {
         "objectives": objectives,
         "wall_s": time.monotonic() - t0,
         "solve_s": solve_s,
-        "lp_iterations": iters,
-        "factorizations": factorizations,
-        "ft_updates": ft_updates,
-        "pricing_candidates": pricing,
-        "fill_ratio": fill,
+        "lp_iterations": work.lp_iterations,
+        "factorizations": work.lp_factorizations,
+        "ft_updates": work.lp_ft_updates,
+        "pricing_candidates": work.lp_pricing_candidates,
+        "fill_ratio": work.lp_fill_ratio,
     }
 
 

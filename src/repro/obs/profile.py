@@ -37,8 +37,7 @@ class RunProfile:
 
     def maximize(self, name: str, value: float) -> None:
         """Track a high-water-mark counter (e.g. worst factor fill ratio)."""
-        if value > self.counters.get(name, 0.0):
-            self.counters[name] = value
+        self.counters[name] = max(self.counters.get(name, 0.0), value)
 
     def merge_delta(self, delta: dict) -> None:
         """Fold a :func:`repro.obs.registry.snapshot_delta` into this profile."""

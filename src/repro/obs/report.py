@@ -35,32 +35,17 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join([line(headers), sep] + [line(r) for r in rows])
 
 
-#: Counters surfaced in the headline block, in display order.
-_HEADLINE_COUNTERS = (
-    ("cycles", "scheduling cycles"),
-    ("solver.solves", "MILP solves"),
-    ("solver.bnb.nodes", "B&B nodes explored"),
+#: Counters surfaced in the headline block around the declared solver
+#: counters (:data:`repro.solver.stats.STAT_FIELDS`), in display order.
+_HEADLINE_BEFORE = (("cycles", "scheduling cycles"),)
+_HEADLINE_AFTER = (
     ("solver.bnb.pruned", "B&B nodes pruned"),
     ("solver.bnb.incumbents", "incumbent improvements"),
-    ("solver.lp.iterations", "simplex/LP iterations"),
-    ("solver.lp.dual_pivots", "dual-simplex pivots"),
-    ("solver.lp.refactorizations", "basis refactorizations"),
-    ("solver.lp.warm_restarts", "LP warm restarts"),
-    ("solver.lp.warm_hits", "LP warm-restart hits"),
-    ("solver.lp.factorizations", "basis factorizations (total)"),
-    ("solver.lp.ft_updates", "Forrest-Tomlin updates"),
-    ("solver.lp.pricing_candidates", "pricing candidates examined"),
-    ("solver.lp.fill_ratio", "worst factor fill ratio"),
     ("solver.presolve.rows_dropped", "presolve rows dropped"),
     ("solver.presolve.bounds_tightened", "presolve bounds tightened"),
-    ("solver.cache.hits", "component-cache exact hits"),
-    ("solver.cache.warm_hits", "component-cache warm hits"),
-    ("solver.cache.evictions", "component-cache evictions"),
     ("scheduler.launched", "jobs launched"),
     ("scheduler.culled", "jobs culled"),
     ("scheduler.cancelled", "jobs cancelled"),
-    ("scheduler.warm_start.attempts", "warm-start attempts"),
-    ("scheduler.warm_start.hits", "warm-start hits"),
     ("scheduler.delta.jobs_dirty", "delta fragments recompiled"),
     ("scheduler.delta.jobs_clean", "delta fragments reused"),
     ("scheduler.delta.rows_patched", "delta rows patched"),
@@ -69,13 +54,24 @@ _HEADLINE_COUNTERS = (
 )
 
 
+def _headline_counters() -> tuple[tuple[str, str], ...]:
+    """``(counter, label)`` rows of the headline block, in display order."""
+    # Imported here: the solver imports obs, so obs cannot import the
+    # solver package at module load.
+    from repro.solver.stats import STAT_FIELDS
+
+    declared = tuple((f.metadata["profile"], f.metadata["label"])
+                     for f in STAT_FIELDS)
+    return _HEADLINE_BEFORE + declared + _HEADLINE_AFTER
+
+
 def render_profile(profile: RunProfile, title: str = "Run profile") -> str:
     """Human-readable summary: headline counters, phases, other counters."""
     blocks = [title, "=" * len(title)]
 
+    headline = _headline_counters()
     rows = [[label, profile.counter(name)]
-            for name, label in _HEADLINE_COUNTERS
-            if name in profile.counters]
+            for name, label in headline if name in profile.counters]
     hit_rate = profile.warm_start_hit_rate
     if not math.isnan(hit_rate):
         rows.append(["warm-start hit rate (%)", 100.0 * hit_rate])
@@ -120,7 +116,7 @@ def render_profile(profile: RunProfile, title: str = "Run profile") -> str:
                    format_table(["span", "count", "total ms", "mean ms",
                                  "max ms"], timer_rows)]
 
-    shown = {name for name, _ in _HEADLINE_COUNTERS}
+    shown = {name for name, _ in headline}
     other = sorted(set(profile.counters) - shown)
     if other:
         blocks += ["", "Other counters",

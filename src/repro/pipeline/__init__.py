@@ -8,7 +8,7 @@ One TetriSched cycle is a fixed sequence of typed stages::
 stage is a small object with a ``name`` and a ``run(ctx)`` method; the
 :class:`~repro.pipeline.driver.CyclePipeline` driver runs them in order
 under per-stage :mod:`repro.obs` spans and records wall-clock timings in
-the shared :class:`~repro.pipeline.context.CycleContext`.  A stage may
+the cycle's :class:`~repro.core.scheduler.CycleStats` record.  A stage may
 ``ctx.halt()`` to short-circuit the rest of the cycle (nothing to
 schedule, solver returned no solution).
 

@@ -10,7 +10,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - annotations only, avoids import cycle
     from repro.core.compiler import CompiledBatch, ResizeCandidate
     from repro.core.delta import CycleDelta
-    from repro.core.scheduler import (CycleResult, JobRequest, SolveTelemetry,
+    from repro.core.scheduler import (CycleResult, CycleStats, JobRequest,
                                       TetriSched, TetriSchedConfig)
     from repro.shard.coordinator import ShardCycle
     from repro.solver.decompose import Decomposition
@@ -22,14 +22,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only, avoids import cycle
 class CycleContext:
     """Everything one cycle's stages read and write.
 
-    Earlier stages populate the fields later stages consume; the driver
-    owns ``stage_timings``.  The context never outlives the cycle.
+    Earlier stages populate the fields later stages consume and fold
+    their solver work into ``stats``, the cycle's record; the driver
+    fills ``stats.stage_timings``.  The context never outlives the cycle.
     """
 
     scheduler: "TetriSched"
     now: float
     result: "CycleResult"
-    telemetry: "SolveTelemetry"
+    stats: "CycleStats"
 
     #: (job_id, STRL root) per schedulable pending job — plus, with
     #: ``elastic_mode``, one resize fragment per running elastic job.
@@ -38,9 +39,6 @@ class CycleContext:
     #: Running elastic jobs re-entered as width re-planning candidates
     #: (``elastic_mode``); their fragments sit at the tail of ``exprs``.
     resizable: list["ResizeCandidate"] = field(default_factory=list)
-    #: Extract's grow/shrink split of this cycle's applied resizes.
-    resize_grown: int = 0
-    resize_shrunk: int = 0
     compiled: "CompiledBatch | None" = None
     #: What the delta compiler recompiled vs replayed (``delta_mode != off``).
     delta: "CycleDelta | None" = None
@@ -51,13 +49,6 @@ class CycleContext:
     #: :mod:`repro.shard` stages: per-domain batches, solves, boundary
     #: jobs, and the reconciliation coupling model.
     shard: "ShardCycle | None" = None
-
-    #: Independent MILP blocks this cycle solved (1 when monolithic).
-    components: int = 0
-    #: Stored nonzeros in the cycle MILP's sparse export.
-    nnz: int = 0
-    #: Wall-clock seconds per stage name, filled by the driver.
-    stage_timings: dict[str, float] = field(default_factory=dict)
     halted: bool = False
 
     @property

@@ -19,8 +19,8 @@ class CyclePipeline:
 
     Each stage runs under ``obs.span(stage.name)`` (nested under the
     scheduler's ``"cycle"`` span) and its wall-clock time accumulates in
-    ``ctx.stage_timings[stage.name]``.  A stage that calls ``ctx.halt()``
-    stops the cycle; stages after it never run.
+    ``ctx.stats.stage_timings[stage.name]``.  A stage that calls
+    ``ctx.halt()`` stops the cycle; stages after it never run.
     """
 
     def __init__(self, stages: Sequence[Stage]) -> None:
@@ -37,9 +37,9 @@ class CyclePipeline:
             t0 = time.monotonic()
             with obs.span(stage.name):
                 stage.run(ctx)
-            ctx.stage_timings[stage.name] = (
-                ctx.stage_timings.get(stage.name, 0.0)
-                + time.monotonic() - t0)
+            timings = ctx.stats.stage_timings
+            timings[stage.name] = (timings.get(stage.name, 0.0)
+                                   + time.monotonic() - t0)
         return ctx
 
 

@@ -120,8 +120,8 @@ class Compilation:
             ctx.compiled = compiler.compile(ctx.exprs,
                                             preemptible=preemptible,
                                             resizable=ctx.resizable)
-        ctx.telemetry.milp_variables = ctx.compiled.stats["variables"]
-        ctx.telemetry.milp_constraints = ctx.compiled.stats["constraints"]
+        ctx.stats.milp_variables = ctx.compiled.stats["variables"]
+        ctx.stats.milp_constraints = ctx.compiled.stats["constraints"]
 
 
 class ModelBuild:
@@ -138,19 +138,19 @@ class ModelBuild:
         sched = ctx.scheduler
         assert ctx.compiled is not None
         sp = ctx.compiled.model.to_sparse_arrays()
-        ctx.nnz = sp.nnz
+        ctx.stats.milp_nonzeros = sp.nnz
         obs.emit("scheduler.model_build",
                  variables=ctx.compiled.model.num_variables,
                  constraints=len(ctx.compiled.model.constraints),
-                 nnz=ctx.nnz)
+                 nnz=sp.nnz)
         if ctx.config.warm_start:
-            ctx.telemetry.warm_start_attempted = True
+            ctx.stats.warm_start_attempted = True
             with obs.span("warm_start"):
                 ctx.warm_start = sched._build_warm_start(ctx.compiled, ctx.now)
             # Hit/miss accounting flows through CycleStats (the simulator
             # folds it into the run profile), not the obs registry, so the
             # two layers never double-count.
-            ctx.telemetry.warm_start_hit = ctx.warm_start is not None
+            ctx.stats.warm_start_hit = ctx.warm_start is not None
 
 
 class Decompose:
@@ -161,10 +161,10 @@ class Decompose:
     def run(self, ctx: "CycleContext") -> None:
         assert ctx.compiled is not None
         if not ctx.config.decomposition:
-            ctx.components = 1
+            ctx.stats.components = 1
             return
         ctx.decomposition = decompose(ctx.compiled.model)
-        ctx.components = max(1, ctx.decomposition.num_components)
+        ctx.stats.components = max(1, ctx.decomposition.num_components)
         obs.emit("scheduler.decompose",
                  components=ctx.decomposition.num_components,
                  sizes=ctx.decomposition.component_sizes(),
@@ -175,7 +175,7 @@ class Solve:
     """Solve the cycle MILP — per component when decomposed.
 
     A decomposed solve is still *one* logical solver invocation in the
-    cycle telemetry (Fig. 12's solver-work tables compare global vs
+    cycle record (Fig. 12's solver-work tables compare global vs
     greedy solve counts; decomposition must not inflate them).  The
     per-call :class:`~repro.solver.options.SolveOptions` carries the
     cycle warm start plus the scheduler's worker-pool and component-cache
@@ -186,7 +186,7 @@ class Solve:
 
     def run(self, ctx: "CycleContext") -> None:
         sched = ctx.scheduler
-        tel = ctx.telemetry
+        stats = ctx.stats
         assert ctx.compiled is not None
         decomp = ctx.decomposition
         t0 = time.monotonic()
@@ -209,15 +209,15 @@ class Solve:
                 ctx.compiled.model,
                 options=SolveOptions(warm_start=ctx.warm_start,
                                      column_groups=groups))
-        tel.solver_latency_s += time.monotonic() - t0
-        tel.absorb(res)
+        stats.solver_latency_s += time.monotonic() - t0
+        stats.absorb(res)
         if not res.status.has_solution:
             # All-zero (schedule nothing) is always feasible, so this should
             # only happen under a very tight solver budget.
             sched._prev_plan = []
             ctx.halt()
             return
-        tel.objective = res.objective
+        stats.objective = res.objective
         ctx.solution = res
 
 
@@ -252,9 +252,9 @@ class Extract:
             sched.state.finish(job_id)
             ctx.result.resized.append(job_id)
             if width > cand.width:
-                ctx.resize_grown += 1
+                ctx.stats.elastic_grown += 1
             else:
-                ctx.resize_shrunk += 1
+                ctx.stats.elastic_shrunk += 1
 
         with obs.span("decode"):
             placements = [pl for pl in compiled.decode(res.x)
@@ -331,6 +331,6 @@ class GreedyScheduling:
     name = StageName.GREEDY
 
     def run(self, ctx: "CycleContext") -> None:
-        ctx.components = 0
+        ctx.stats.components = 0
         ctx.result.allocations = ctx.scheduler._cycle_greedy(
-            ctx.exprs, ctx.requests, ctx.now, ctx.telemetry)
+            ctx.exprs, ctx.requests, ctx.now, ctx.stats)

@@ -82,8 +82,8 @@ class DomainCompile:
                                         ctx.now)
                 compiled = compiler.compile(batch)
             sh.compiled[did] = compiled
-            ctx.telemetry.milp_variables += compiled.stats["variables"]
-            ctx.telemetry.milp_constraints += compiled.stats["constraints"]
+            ctx.stats.milp_variables += compiled.stats["variables"]
+            ctx.stats.milp_constraints += compiled.stats["constraints"]
         if deltas:
             from repro.core.delta import merge_cycle_deltas
             ctx.delta = merge_cycle_deltas(deltas)
@@ -100,12 +100,13 @@ class DomainModelBuild:
         assert sh is not None
         for did in sh.active_domains():
             sp = sh.compiled[did].model.to_sparse_arrays()
-            ctx.nnz += sp.nnz
+            ctx.stats.milp_nonzeros += sp.nnz
         obs.emit("scheduler.model_build",
-                 variables=ctx.telemetry.milp_variables,
-                 constraints=ctx.telemetry.milp_constraints, nnz=ctx.nnz)
+                 variables=ctx.stats.milp_variables,
+                 constraints=ctx.stats.milp_constraints,
+                 nnz=ctx.stats.milp_nonzeros)
         if ctx.config.warm_start:
-            ctx.telemetry.warm_start_attempted = True
+            ctx.stats.warm_start_attempted = True
             with obs.span("warm_start"):
                 for did in sh.active_domains():
                     # The shifted previous plan slices cleanly per domain:
@@ -113,7 +114,7 @@ class DomainModelBuild:
                     # indicator in its model and are skipped.
                     sh.warm[did] = sched._build_warm_start(sh.compiled[did],
                                                            ctx.now)
-            ctx.telemetry.warm_start_hit = any(
+            ctx.stats.warm_start_hit = any(
                 w is not None for w in sh.warm.values())
 
 
@@ -144,10 +145,10 @@ class DomainSolve:
             self._solve_single(ctx, dids[0])
             return
 
-        tel = ctx.telemetry
+        stats = ctx.stats
         if not ctx.config.decomposition:
             # Respect the ablation flag: one monolithic solve per domain.
-            ctx.components = 0
+            stats.components = 0
             for did in dids:
                 compiled = sh.compiled[did]
                 groups = None
@@ -159,7 +160,7 @@ class DomainSolve:
                     options=SolveOptions(warm_start=sh.warm.get(did),
                                          column_groups=groups))
                 self._record(ctx, did, res, time.monotonic() - t0)
-                ctx.components += 1
+                stats.components += 1
             return
 
         decomps = [decompose(sh.compiled[did].model) for did in dids]
@@ -167,41 +168,41 @@ class DomainSolve:
                              workers=ctx.config.solver_workers,
                              component_cache=sched._component_cache)
                 for did in dids]
-        ctx.components = sum(max(1, d.num_components) for d in decomps)
+        stats.components = sum(max(1, d.num_components) for d in decomps)
         t0 = time.monotonic()
         results = solve_many_decomposed(decomps, sched._backend, opts,
                                         dispatch_seed=ctx.config.seed)
         wall = time.monotonic() - t0
-        tel.solver_latency_s += wall
+        stats.solver_latency_s += wall
         for did, res in zip(dids, results):
             self._record(ctx, did, res, res.solve_time, add_latency=False)
         obs.emit("scheduler.shard_solve", domains=len(dids),
-                 components=ctx.components, wall_s=wall,
+                 components=stats.components, wall_s=wall,
                  fallbacks=len(sh.fallback_domains))
 
     def _record(self, ctx: "CycleContext", did: int, res,
                 solve_s: float, add_latency: bool = True) -> None:
         sh = ctx.shard
-        tel = ctx.telemetry
+        stats = ctx.stats
         sh.solve_s[did] = solve_s
         if add_latency:
-            tel.solver_latency_s += solve_s
-        tel.absorb(res)
+            stats.solver_latency_s += solve_s
+        stats.absorb(res)
         if not res.status.has_solution or res.x is None:
             sh.fallback_domains.append(did)
             return
-        tel.objective += res.objective
+        stats.objective += res.objective
         sh.results[did] = res
 
     def _solve_single(self, ctx: "CycleContext", did: int) -> None:
         """The monolithic Solve branch, verbatim, on the one domain."""
         sched = ctx.scheduler
         sh = ctx.shard
-        tel = ctx.telemetry
+        stats = ctx.stats
         compiled = sh.compiled[did]
         decomp = decompose(compiled.model) if ctx.config.decomposition \
             else None
-        ctx.components = max(1, decomp.num_components) if decomp else 1
+        stats.components = max(1, decomp.num_components) if decomp else 1
         t0 = time.monotonic()
         if decomp is not None and (decomp.num_components > 1
                                    or decomp.free_indices.size):
@@ -220,13 +221,13 @@ class DomainSolve:
                 options=SolveOptions(warm_start=sh.warm.get(did),
                                      column_groups=groups))
         sh.solve_s[did] = time.monotonic() - t0
-        tel.solver_latency_s += sh.solve_s[did]
-        tel.absorb(res)
+        stats.solver_latency_s += sh.solve_s[did]
+        stats.absorb(res)
         if not res.status.has_solution:
             sched._prev_plan = []
             ctx.halt()
             return
-        tel.objective = res.objective
+        stats.objective = res.objective
         sh.results[did] = res
 
 
@@ -272,18 +273,18 @@ class DomainExtract:
                        acc: PlanAccumulator) -> None:
         """Per-job solo MILPs over the shared accumulator (one domain)."""
         sched = ctx.scheduler
-        tel = ctx.telemetry
+        stats = ctx.stats
         obs.count("scheduler.shard.greedy_fallback")
         for job_id, expr in ctx.shard.batches[did]:
             compiler = StrlCompiler(acc, ctx.config.quantum_s, ctx.now)
             compiled = compiler.compile([(job_id, expr)])
             t0 = time.monotonic()
             res = sched._backend.solve(compiled.model)
-            tel.solver_latency_s += time.monotonic() - t0
-            tel.absorb(res)
+            stats.solver_latency_s += time.monotonic() - t0
+            stats.absorb(res)
             if not res.status.has_solution or res.x is None:
                 continue
-            tel.objective += res.objective
+            stats.objective += res.objective
             placements = compiled.decode(res.x)
             _materialize_transactional(ctx, compiled, placements, acc)
 
@@ -347,7 +348,7 @@ class DomainReconcile:
         if not sh.boundary:
             return
         sched = ctx.scheduler
-        tel = ctx.telemetry
+        stats = ctx.stats
         acc = sh.acc
         if acc is None:  # pure-boundary cycle: Extract had nothing to do
             acc = PlanAccumulator(sched.state, ctx.now,
@@ -355,16 +356,16 @@ class DomainReconcile:
             sh.acc = acc
         compiler = StrlCompiler(acc, ctx.config.quantum_s, ctx.now)
         compiled = compiler.compile(list(sh.boundary))
-        tel.milp_variables += compiled.stats["variables"]
-        tel.milp_constraints += compiled.stats["constraints"]
+        stats.milp_variables += compiled.stats["variables"]
+        stats.milp_constraints += compiled.stats["constraints"]
         t0 = time.monotonic()
         res = sched._backend.solve(compiled.model)
-        tel.solver_latency_s += time.monotonic() - t0
-        tel.absorb(res)
+        stats.solver_latency_s += time.monotonic() - t0
+        stats.absorb(res)
         sh.reconcile = (compiled, res, list(sh.boundary))
         if not res.status.has_solution or res.x is None:
             return
-        tel.objective += res.objective
+        stats.objective += res.objective
         with obs.span("decode"):
             placements = compiled.decode(res.x)
             sched._prev_plan.extend(

@@ -36,6 +36,7 @@ from repro.sim.metrics import (JobOutcome, LatencyTrace, MetricsCollector,
                                MetricsReport)
 from repro.sim.trace import (ARRIVAL, COMPLETION, CULL, FAILURE, LAUNCH,
                              PREEMPTION, RESIZE, ExecutionTrace)
+from repro.solver.stats import STAT_FIELDS
 
 
 @dataclass
@@ -324,30 +325,12 @@ class Simulation:
         profile.bump("cycles")
         stats = decisions.stats
         if stats is not None:
-            profile.bump("solver.solves", stats.solves)
-            profile.bump("solver.bnb.nodes", stats.solver_nodes)
-            profile.bump("solver.lp.iterations", stats.lp_iterations)
-            profile.bump("solver.lp.dual_pivots", stats.lp_dual_pivots)
-            profile.bump("solver.lp.refactorizations",
-                         stats.lp_refactorizations)
-            profile.bump("solver.lp.warm_restarts", stats.lp_warm_restarts)
-            profile.bump("solver.lp.warm_hits", stats.lp_warm_hits)
-            profile.bump("solver.lp.factorizations", stats.lp_factorizations)
-            profile.bump("solver.lp.ft_updates", stats.lp_ft_updates)
-            profile.bump("solver.lp.pricing_candidates",
-                         stats.lp_pricing_candidates)
-            profile.maximize("solver.lp.fill_ratio", stats.lp_fill_ratio)
-            profile.bump("solver.milp_variables", stats.milp_variables)
-            profile.bump("solver.milp_constraints", stats.milp_constraints)
-            if stats.warm_start_attempted:
-                profile.bump("scheduler.warm_start.attempts")
-                profile.bump("scheduler.warm_start.hits",
-                             1.0 if stats.warm_start_hit else 0.0)
-            profile.bump("scheduler.components", stats.components)
-            profile.bump("solver.milp_nonzeros", stats.milp_nonzeros)
-            profile.bump("solver.cache.hits", stats.cache_hits)
-            profile.bump("solver.cache.warm_hits", stats.cache_warm_hits)
-            profile.bump("solver.cache.evictions", stats.cache_evictions)
+            for f in STAT_FIELDS:
+                value = getattr(stats, f.name)
+                if f.metadata["merge"] == "max":
+                    profile.maximize(f.metadata["profile"], value)
+                else:  # "any" flags count the cycles that set them
+                    profile.bump(f.metadata["profile"], float(value))
             profile.bump("scheduler.cancelled", stats.cancelled)
             profile.bump("scheduler.delta.jobs_dirty", stats.jobs_dirty)
             profile.bump("scheduler.delta.jobs_clean", stats.jobs_clean)

@@ -10,6 +10,8 @@ Public surface:
   solving with the persistent worker pool and cross-cycle memoization
   (:mod:`repro.solver.parallel`);
 * :class:`MILPResult`, :class:`SolveStatus` — results;
+* :class:`SolverStats` — every solver counter, declared once with its
+  merge rule (:mod:`repro.solver.stats`);
 * :func:`solve_lp` — the standalone two-phase tableau LP solver (oracle);
 * :func:`solve_lp_revised` / :class:`RevisedSimplexEngine` — the
   bounded-variable revised simplex (production LP core);
@@ -35,6 +37,7 @@ from repro.solver.revised_simplex import (BasisState, RevisedSimplexEngine,
                                           solve_lp_revised)
 from repro.solver.scipy_backend import ScipyMILPSolver, scipy_available
 from repro.solver.simplex import solve_lp
+from repro.solver.stats import SolverStats
 
 __all__ = [
     "BACKEND_NAMES", "BINARY", "BasisState", "BranchBoundOptions",
@@ -44,7 +47,8 @@ __all__ = [
     "LE", "LPResult", "LinExpr", "MAXIMIZE", "MILPBackend", "MILPResult",
     "MINIMIZE", "Model", "PresolveResult", "RepairSolver",
     "RevisedSimplexEngine",
-    "ScipyMILPSolver", "SolveOptions", "SolveStatus", "UNSET", "Variable",
+    "ScipyMILPSolver", "SolveOptions", "SolveStatus", "SolverStats", "UNSET",
+    "Variable",
     "WorkerPool", "backend_time_limit", "colgen_root",
     "component_fingerprint", "decompose",
     "linear_sum", "make_backend", "presolve", "scipy_available",

@@ -35,6 +35,7 @@ from repro.solver.options import SolveOptions, is_set
 from repro.solver.result import LPResult, MILPResult, SolveStatus
 from repro.solver.revised_simplex import RevisedSimplexEngine
 from repro.solver.simplex import solve_lp as simplex_solve_lp
+from repro.solver.stats import engine_stats
 
 _INT_TOL = 1e-6
 
@@ -290,18 +291,7 @@ class BranchBoundSolver:
                              "nodes_pruned": nodes_pruned,
                              "incumbents": incumbents})
         if engine is not None:
-            search_stats.update({
-                "lp_dual_pivots": engine.counters["dual_pivots"],
-                "lp_refactorizations": engine.counters["refactorizations"],
-                "lp_warm_restarts": engine.counters["warm_restarts"],
-                "lp_warm_hits": engine.counters["warm_hits"],
-                "lp_cold_fallbacks": engine.counters["cold_fallbacks"],
-                "lp_factorizations": engine.counters["factorizations"],
-                "lp_ft_updates": engine.counters["ft_updates"],
-                "lp_pricing_candidates":
-                    engine.counters["pricing_candidates"],
-                "lp_fill_ratio": engine.fill_ratio,
-            })
+            search_stats.update(engine_stats(engine))
         obs.count("solver.bnb.pruned", nodes_pruned)
         obs.count("solver.bnb.incumbents", incumbents)
         if incumbent is None:

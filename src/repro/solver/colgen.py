@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
 from repro.solver.result import LPResult, SolveStatus
 from repro.solver.revised_simplex import RevisedSimplexEngine
 
@@ -150,8 +149,6 @@ def colgen_root(sa, groups, seed_per_job: int = 2, max_rounds: int = 25,
         chosen = set(favorable)
         inactive = [g for g in inactive if g not in chosen]
         basis = res.basis
-    obs.count("solver.colgen.rounds", root.rounds)
-    obs.count("solver.colgen.columns_priced", root.columns_priced_in)
     root.stats = {
         "colgen_rounds": root.rounds,
         "colgen_columns_priced": root.columns_priced_in,

@@ -37,6 +37,7 @@ from repro.solver.expr import LinExpr
 from repro.solver.model import MAXIMIZE, Model
 from repro.solver.options import UNSET, SolveOptions
 from repro.solver.result import MILPResult, SolveStatus
+from repro.solver.stats import SolverStats
 
 
 @dataclass
@@ -326,7 +327,7 @@ def _gather_results(decomps: list[Decomposition], backend,
                             fingerprint=fingerprints.get((di, i)))
         # LRU pressure during *this* solve (the cache outlives cycles, so
         # the cumulative counter alone cannot be attributed to a cycle).
-        # Attributed to the first decomposition's stats; cycle telemetry
+        # Attributed to the first decomposition's stats; the cycle record
         # sums across decompositions, so the total stays right.
         cache_stats[0]["cache_evictions"] = (cache.stats.evictions
                                              - evictions_before)
@@ -351,46 +352,33 @@ def _recombine(decomp: Decomposition,
     objective = decomp.constant + decomp.free_objective
     bound = objective
     gap = 0.0
-    nodes = 0
-    # Per-component LP-engine work, summed into the recombined stats so
-    # cycle telemetry sees decomposed solves exactly like monolithic ones.
-    lp_work = {key: 0 for key in ("lp_iterations", "lp_dual_pivots",
-                                  "lp_refactorizations", "lp_warm_restarts",
-                                  "lp_warm_hits", "lp_cold_fallbacks",
-                                  "lp_factorizations", "lp_ft_updates",
-                                  "lp_pricing_candidates",
-                                  "colgen_rounds", "colgen_columns_priced",
-                                  "repair_escalations")}
-    #: Worst factor fill ratio across components (max, not sum).
-    lp_fill_ratio = 0.0
-    #: Worst audited repair gap across components (max, not sum).
-    repair_gap = 0.0
+    # This decomposition's cache traffic plus every component's solver
+    # work, folded by each counter's merge rule, so the cycle record sees
+    # a decomposed solve exactly like a monolithic one.
+    work = SolverStats(**cache_stats)
     solve_time = 0.0
     proven = True
     solutions: list[np.ndarray] = []
+
+    def summary() -> dict:
+        return {"components": decomp.num_components, **work.result_stats()}
+
     for res in results:
         if res is None:  # sequential early exit hit a doomed block earlier
             continue
-        nodes += res.nodes
+        work.absorb(res)
         solve_time += res.solve_time
-        for key in lp_work:
-            lp_work[key] += int(res.stats.get(key, 0))
-        lp_fill_ratio = max(lp_fill_ratio,
-                            float(res.stats.get("lp_fill_ratio", 0.0)))
-        repair_gap = max(repair_gap, float(res.stats.get("repair_gap", 0.0)))
         if res.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED):
             # An infeasible/unbounded block makes the whole model so.
             return MILPResult(res.status, None,
                               math.nan if res.status == SolveStatus.INFEASIBLE
                               else res.objective,
-                              nodes=nodes, solve_time=solve_time,
-                              stats={"components": decomp.num_components,
-                                     **lp_work, **cache_stats})
+                              nodes=work.solver_nodes, solve_time=solve_time,
+                              stats=summary())
         if not res.status.has_solution:
             return MILPResult(SolveStatus.NO_SOLUTION, None, math.nan,
-                              nodes=nodes, solve_time=solve_time,
-                              stats={"components": decomp.num_components,
-                                     **lp_work, **cache_stats})
+                              nodes=work.solver_nodes, solve_time=solve_time,
+                              stats=summary())
         solutions.append(res.x)
         objective += res.objective
         bound += res.bound if not math.isnan(res.bound) else res.objective
@@ -403,19 +391,14 @@ def _recombine(decomp: Decomposition,
     obs.emit("solver.decomposed_solve",
              components=decomp.num_components,
              sizes=decomp.component_sizes(),
-             objective=objective, nodes=nodes,
+             objective=objective, nodes=work.solver_nodes,
              time_ms=1000.0 * solve_time)
-    stats = {"components": decomp.num_components,
-             "component_sizes": decomp.component_sizes(),
-             **lp_work, **cache_stats}
-    if lp_fill_ratio:
-        stats["lp_fill_ratio"] = lp_fill_ratio
-    if repair_gap:
-        stats["repair_gap"] = repair_gap
+    stats = summary()
+    stats["component_sizes"] = decomp.component_sizes()
     return MILPResult(
         status=SolveStatus.OPTIMAL if proven else SolveStatus.FEASIBLE,
-        x=x, objective=objective, bound=bound, gap=gap, nodes=nodes,
-        solve_time=solve_time, stats=stats)
+        x=x, objective=objective, bound=bound, gap=gap,
+        nodes=work.solver_nodes, solve_time=solve_time, stats=stats)
 
 
 def solve_many_decomposed(decomps: list[Decomposition], backend,

@@ -170,14 +170,12 @@ class ComponentCache:
         if cached is not None:
             self._exact.move_to_end(fp.exact)
             self.stats.hits += 1
-            obs.count("solver.cache.hits")
             return CacheHit(result=_copy_result(cached), fingerprint=fp)
         self.stats.misses += 1
         obs.count("solver.cache.misses")
         seed = self._structural.get(fp.structural)
         if seed is not None and model.check_feasible(seed):
             self.stats.warm_hits += 1
-            obs.count("solver.cache.warm_hits")
             return CacheHit(warm_start=seed.copy(), fingerprint=fp)
         return CacheHit(fingerprint=fp)
 

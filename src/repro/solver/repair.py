@@ -41,6 +41,7 @@ from repro.solver.colgen import ColgenRoot, colgen_root
 from repro.solver.model import Model
 from repro.solver.options import SolveOptions
 from repro.solver.result import MILPResult, SolveStatus
+from repro.solver.stats import engine_stats
 
 _INT_TOL = 1e-6
 #: Fractional variables tried per dive round before the dive gives up and
@@ -126,11 +127,7 @@ class RepairSolver:
         stats["repair_bound_source"] = "lp"
         stats["lp_iterations"] = root.lp_iterations + int(
             root.stats.get("dive_lp_iterations", 0))
-        for key in ("pivots", "dual_pivots", "refactorizations",
-                    "warm_restarts", "warm_hits", "cold_fallbacks",
-                    "factorizations", "ft_updates", "pricing_candidates"):
-            stats[f"lp_{key}"] = root.engine.counters[key]
-        stats["lp_fill_ratio"] = root.engine.fill_ratio
+        stats.update(engine_stats(root.engine))
         solve_time = time.monotonic() - t0
         status = SolveStatus.OPTIMAL if gap <= rel_gap \
             else SolveStatus.FEASIBLE
@@ -212,7 +209,6 @@ class RepairSolver:
         search: an escalated solve must reproduce the exact path's result
         bit for bit, and an extra incumbent changes pruning order.
         """
-        obs.count("solver.repair.escalations")
         result = self.exact.solve(model, options=options)
         merged = dict(result.stats)
         for key, value in stats.items():

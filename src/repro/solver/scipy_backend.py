@@ -49,14 +49,18 @@ def solve_lp_scipy(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
     if np.any(lb > ub):
         return LPResult(SolveStatus.INFEASIBLE, None, np.inf)
-    res = _sciopt.linprog(
-        c,
+    problem = dict(
         A_ub=a_ub if a_ub is not None and np.size(a_ub) else None,
         b_ub=b_ub if b_ub is not None and np.size(b_ub) else None,
         A_eq=a_eq if a_eq is not None and np.size(a_eq) else None,
         b_eq=b_eq if b_eq is not None and np.size(b_eq) else None,
-        bounds=np.column_stack([lb, ub]),
-        method="highs")
+        bounds=np.column_stack([lb, ub]))
+    res = _sciopt.linprog(c, **problem, method="highs")
+    if res.status == 2:
+        # HiGHS presolve reports some unbounded LPs as infeasible; the
+        # simplex without presolve tells the two apart.
+        res = _sciopt.linprog(c, **problem, method="highs",
+                              options={"presolve": False})
     if res.status == 2:
         return LPResult(SolveStatus.INFEASIBLE, None, np.inf)
     if res.status == 3:

@@ -10,8 +10,9 @@ check would catch a regression.
 
 import pytest
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
-from repro.core import JobRequest, PriorityClass, TetriSched, TetriSchedConfig
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.pipeline.driver import CyclePipeline
 from repro.strl import SpaceOption
 from repro.valuefn import StepValue
@@ -23,7 +24,7 @@ def build(**kw):
     defaults = dict(quantum_s=10.0, cycle_s=10.0, plan_ahead_s=40.0,
                     backend="pure", rel_gap=1e-6, audit_mode=True)
     defaults.update(kw)
-    return cluster, TetriSched(cluster, TetriSchedConfig(**defaults))
+    return cluster, Scheduler.open(cluster, TetriSchedConfig(**defaults)).core
 
 
 def request(cluster, job_id, k=1, dur=20.0, deadline=500.0):

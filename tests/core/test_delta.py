@@ -4,9 +4,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
 from repro.cluster.state import ClusterState
-from repro.core import JobRequest, PriorityClass, TetriSched, TetriSchedConfig
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.core.allocation import PlanAccumulator
 from repro.core.delta import (CycleDelta, DeltaCompiler, DeltaDivergence,
                               assert_models_equal)
@@ -191,14 +192,14 @@ def _sched(delta_mode, **kw):
     cfg = TetriSchedConfig(quantum_s=10.0, cycle_s=10.0, plan_ahead_s=40.0,
                            backend="pure", rel_gap=1e-6,
                            delta_mode=delta_mode, **kw)
-    return cluster, TetriSched(cluster, cfg)
+    return cluster, Scheduler.open(cluster, cfg).core
 
 
 class TestSchedulerIntegration:
     def test_invalid_mode_rejected(self):
         cluster = Cluster.build(racks=1, nodes_per_rack=2)
         with pytest.raises(SchedulerError):
-            TetriSched(cluster, TetriSchedConfig(delta_mode="sometimes"))
+            Scheduler.open(cluster, TetriSchedConfig(delta_mode="sometimes")).core
 
     def test_greedy_mode_has_no_delta_compiler(self):
         _, sched = _sched("on", global_scheduling=False)

@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
-from repro.core import JobRequest, PriorityClass, TetriSched, TetriSchedConfig
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.errors import SimulationError, SolverError
 from repro.sim import EventKind, EventQueue, ExecutionTrace
 from repro.sim.trace import COMPLETION, LAUNCH
@@ -34,8 +35,8 @@ class _CrashingBackend:
 
 def make_sched(backend=None):
     cluster = Cluster.build(racks=1, nodes_per_rack=4)
-    sched = TetriSched(cluster, TetriSchedConfig(
-        quantum_s=10, cycle_s=10, plan_ahead_s=40))
+    sched = Scheduler.open(cluster, TetriSchedConfig(
+        quantum_s=10, cycle_s=10, plan_ahead_s=40)).core
     if backend is not None:
         sched._backend = backend
     request = JobRequest(

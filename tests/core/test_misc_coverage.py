@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
-from repro.core import (JobRequest, PriorityClass, TetriSched,
-                        TetriSchedConfig)
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.core.compiler import PreemptionCandidate, StrlCompiler
 from repro.cluster import ClusterState
 from repro.solver import make_backend
@@ -53,9 +53,9 @@ class TestGreedyWithPreemptionFlag:
     def test_greedy_mode_ignores_preemption_flag(self):
         """-NG doesn't implement preemption; the flag must be harmless."""
         cluster = Cluster.build(racks=1, nodes_per_rack=4)
-        sched = TetriSched(cluster, TetriSchedConfig(
+        sched = Scheduler.open(cluster, TetriSchedConfig(
             quantum_s=10, cycle_s=10, plan_ahead_s=40,
-            global_scheduling=False, enable_preemption=True))
+            global_scheduling=False, enable_preemption=True)).core
         sched.submit(JobRequest(
             "be", (SpaceOption(cluster.node_names, 4, 100.0),),
             best_effort_value(0.0), PriorityClass.BEST_EFFORT, 0.0))
@@ -87,8 +87,8 @@ class TestConfigProperties:
 class TestCycleHistoryAccounting:
     def test_objective_and_counts_recorded(self):
         cluster = Cluster.build(racks=1, nodes_per_rack=4)
-        sched = TetriSched(cluster, TetriSchedConfig(
-            quantum_s=10, cycle_s=10, plan_ahead_s=40, rel_gap=1e-6))
+        sched = Scheduler.open(cluster, TetriSchedConfig(
+            quantum_s=10, cycle_s=10, plan_ahead_s=40, rel_gap=1e-6)).core
         sched.submit(JobRequest(
             "a", (SpaceOption(cluster.node_names, 2, 20.0),),
             StepValue(1000.0, 300.0), PriorityClass.SLO_ACCEPTED, 0.0,

@@ -3,9 +3,10 @@ schedule-preservation invariant (decomposed == monolithic objective)."""
 
 import pytest
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
 from repro.core.queues import PriorityClass
-from repro.core.scheduler import JobRequest, TetriSched, TetriSchedConfig
+from repro.core.scheduler import JobRequest, TetriSchedConfig
 from repro.pipeline import (CycleContext, StageName, global_pipeline,
                             greedy_pipeline)
 from repro.strl.generator import SpaceOption
@@ -26,7 +27,7 @@ def make_sched(racks=3, nodes_per_rack=4, **overrides):
     cluster = Cluster.build(racks=racks, nodes_per_rack=nodes_per_rack)
     cfg = TetriSchedConfig(quantum_s=8.0, cycle_s=8.0, plan_ahead_s=32.0,
                            backend="pure", rel_gap=1e-6, **overrides)
-    return TetriSched(cluster, cfg)
+    return Scheduler.open(cluster, cfg).core
 
 
 def submit_rack_pinned(sched, jobs_per_rack=2):
@@ -153,12 +154,12 @@ def test_context_halt_short_circuits():
         def run(self, ctx):
             raise AssertionError("stage after halt must not run")
 
-    from repro.core.scheduler import CycleResult, SolveTelemetry
+    from repro.core.scheduler import CycleResult, CycleStats
     from repro.pipeline.driver import CyclePipeline
     from repro.pipeline.stages import StrlGeneration
 
     ctx = CycleContext(scheduler=sched, now=0.0, result=CycleResult(),
-                       telemetry=SolveTelemetry())
+                       stats=CycleStats(now=0.0))
     # Empty queue: StrlGeneration halts, Boom never runs.
     CyclePipeline([StrlGeneration(), Boom()]).run(ctx)
     assert ctx.halted

@@ -8,8 +8,9 @@ the supply at a value penalty.
 
 import pytest
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
-from repro.core import JobRequest, PriorityClass, TetriSched, TetriSchedConfig
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.sim import Job, Simulation, TetriSchedAdapter, UnconstrainedType
 from repro.strl import SpaceOption
 from repro.valuefn import StepValue, best_effort_value
@@ -22,7 +23,7 @@ def make_sched(preemption=True, **overrides):
     cfg = dict(quantum_s=10, cycle_s=10, plan_ahead_s=40, backend="auto",
                rel_gap=1e-6, enable_preemption=preemption)
     cfg.update(overrides)
-    return cluster, TetriSched(cluster, TetriSchedConfig(**cfg))
+    return cluster, Scheduler.open(cluster, TetriSchedConfig(**cfg)).core
 
 
 def be_request(cluster, job_id, k=4, dur=100):

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
-from repro.core import JobRequest, PriorityClass, TetriSched, TetriSchedConfig
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.strl import SpaceOption
 from repro.valuefn import StepValue, best_effort_value
 
@@ -43,13 +44,13 @@ def gpu_request(cluster, job_id, deadline=100.0):
 
 class TestBasicCycle:
     def test_empty_cycle(self):
-        sched = TetriSched(make_cluster(), config())
+        sched = Scheduler.open(make_cluster(), config()).core
         result = sched.run_cycle(0.0)
         assert result.allocations == [] and result.culled == []
 
     def test_single_job_launches_now(self):
         cluster = make_cluster()
-        sched = TetriSched(cluster, config())
+        sched = Scheduler.open(cluster, config()).core
         sched.submit(slo_request(cluster, "j1"))
         result = sched.run_cycle(0.0)
         assert len(result.allocations) == 1
@@ -62,7 +63,7 @@ class TestBasicCycle:
 
     def test_finish_frees_nodes(self):
         cluster = make_cluster()
-        sched = TetriSched(cluster, config())
+        sched = Scheduler.open(cluster, config()).core
         sched.submit(slo_request(cluster, "j1"))
         sched.run_cycle(0.0)
         freed = sched.on_job_finished("j1", 20.0)
@@ -71,7 +72,7 @@ class TestBasicCycle:
 
     def test_deferred_job_stays_pending(self):
         cluster = make_cluster()  # 4 nodes
-        sched = TetriSched(cluster, config())
+        sched = Scheduler.open(cluster, config()).core
         sched.submit(slo_request(cluster, "big", k=4, dur=20, deadline=200))
         sched.submit(slo_request(cluster, "later", k=4, dur=20, deadline=200))
         result = sched.run_cycle(0.0)
@@ -81,7 +82,7 @@ class TestBasicCycle:
 
     def test_culled_job_reported(self):
         cluster = make_cluster()
-        sched = TetriSched(cluster, config())
+        sched = Scheduler.open(cluster, config()).core
         # Deadline impossible: needs 20s but deadline at t=5.
         sched.submit(slo_request(cluster, "dead", dur=20, deadline=5))
         result = sched.run_cycle(0.0)
@@ -90,7 +91,7 @@ class TestBasicCycle:
 
     def test_cycle_stats_recorded(self):
         cluster = make_cluster()
-        sched = TetriSched(cluster, config())
+        sched = Scheduler.open(cluster, config()).core
         sched.submit(slo_request(cluster, "j1"))
         result = sched.run_cycle(0.0)
         stats = result.stats
@@ -103,7 +104,7 @@ class TestBasicCycle:
 class TestHeterogeneity:
     def test_gpu_job_gets_gpu_nodes(self):
         cluster = make_cluster()
-        sched = TetriSched(cluster, config())
+        sched = Scheduler.open(cluster, config()).core
         sched.submit(gpu_request(cluster, "g1"))
         result = sched.run_cycle(0.0)
         [alloc] = result.allocations
@@ -112,7 +113,7 @@ class TestHeterogeneity:
 
     def test_nh_mode_ignores_preferences(self):
         cluster = make_cluster()
-        sched = TetriSched(cluster, config(heterogeneity_aware=False))
+        sched = Scheduler.open(cluster, config(heterogeneity_aware=False)).core
         sched.submit(gpu_request(cluster, "g1"))
         result = sched.run_cycle(0.0)
         [alloc] = result.allocations
@@ -123,7 +124,7 @@ class TestHeterogeneity:
         """Plan-ahead defers the GPU job instead of degrading placement,
         when waiting still beats the slow fallback."""
         cluster = make_cluster()
-        sched = TetriSched(cluster, config(plan_ahead_s=40))
+        sched = Scheduler.open(cluster, config(plan_ahead_s=40)).core
         gpu = cluster.nodes_with_attr("gpu")
         sched.state.start("holder", gpu, 0.0, 10.0)  # GPUs free at t=10
         req = JobRequest(
@@ -150,7 +151,7 @@ class TestHeterogeneity:
         """plan_ahead=0 (alsched): same scenario launches nothing and the
         SLO job is culled once its deadline can no longer be met."""
         cluster = make_cluster()
-        sched = TetriSched(cluster, config(plan_ahead_s=0))
+        sched = Scheduler.open(cluster, config(plan_ahead_s=0)).core
         gpu = cluster.nodes_with_attr("gpu")
         sched.state.start("holder", gpu, 0.0, 10.0)
         req = JobRequest(
@@ -178,7 +179,7 @@ class TestGlobalVsGreedy:
 
     def test_global_meets_all_deadlines(self):
         cluster = make_cluster()
-        sched = TetriSched(cluster, config(plan_ahead_s=40))
+        sched = Scheduler.open(cluster, config(plan_ahead_s=40)).core
         for req in self.setup_jobs(cluster):
             sched.submit(req)
         result = sched.run_cycle(0.0)
@@ -189,7 +190,7 @@ class TestGlobalVsGreedy:
 
     def test_greedy_mode_runs(self):
         cluster = make_cluster()
-        sched = TetriSched(cluster, config(global_scheduling=False))
+        sched = Scheduler.open(cluster, config(global_scheduling=False)).core
         for req in self.setup_jobs(cluster):
             sched.submit(req)
         result = sched.run_cycle(0.0)
@@ -199,7 +200,7 @@ class TestGlobalVsGreedy:
 
     def test_greedy_respects_priority_order(self):
         cluster = make_cluster()
-        sched = TetriSched(cluster, config(global_scheduling=False))
+        sched = Scheduler.open(cluster, config(global_scheduling=False)).core
         # BE job submitted first, SLO job second; SLO must win the nodes.
         be = JobRequest(
             "be", options=(SpaceOption(cluster.node_names, 4, 10.0),),
@@ -216,8 +217,8 @@ class TestGlobalVsGreedy:
 class TestWarmStart:
     def test_second_cycle_with_warm_start_matches_cold(self):
         cluster = make_cluster()
-        warm = TetriSched(cluster, config(warm_start=True))
-        cold = TetriSched(cluster, config(warm_start=False))
+        warm = Scheduler.open(cluster, config(warm_start=True)).core
+        cold = Scheduler.open(cluster, config(warm_start=False)).core
         for sched in (warm, cold):
             sched.submit(slo_request(cluster, "a", k=4, dur=20, deadline=200))
             sched.submit(slo_request(cluster, "b", k=4, dur=20, deadline=200))
@@ -228,7 +229,7 @@ class TestWarmStart:
 
     def test_warm_start_vector_is_feasible(self):
         cluster = make_cluster()
-        sched = TetriSched(cluster, config(warm_start=True, plan_ahead_s=40))
+        sched = Scheduler.open(cluster, config(warm_start=True, plan_ahead_s=40)).core
         sched.submit(slo_request(cluster, "a", k=4, dur=20, deadline=200))
         sched.submit(slo_request(cluster, "b", k=4, dur=20, deadline=200))
         sched.run_cycle(0.0)

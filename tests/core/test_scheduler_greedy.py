@@ -3,8 +3,9 @@ fragmentation protection, and heterogeneous jobs."""
 
 import pytest
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
-from repro.core import JobRequest, PriorityClass, TetriSched, TetriSchedConfig
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.sim import Job, MpiType, Simulation, TetriSchedAdapter
 from repro.strl import SpaceOption
 from repro.valuefn import StepValue
@@ -14,7 +15,7 @@ def greedy_sched(cluster, **kw):
     cfg = dict(quantum_s=10, cycle_s=10, plan_ahead_s=40,
                global_scheduling=False, backend="auto", rel_gap=1e-6)
     cfg.update(kw)
-    return TetriSched(cluster, TetriSchedConfig(**cfg))
+    return Scheduler.open(cluster, TetriSchedConfig(**cfg)).core
 
 
 def request(cluster, job_id, k, dur, deadline,

@@ -10,8 +10,9 @@ stays correct when cluster supply changes between cycles.
 
 import pytest
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
-from repro.core import JobRequest, PriorityClass, TetriSched, TetriSchedConfig
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.core.compiler import StrlCompiler
 from repro.strl import SpaceOption
 from repro.valuefn import StepValue
@@ -42,7 +43,7 @@ def deferred_scheduler():
     """Cycle 0 launches job ``a`` and defers job ``b`` (both need all 4
     nodes), so ``_prev_plan`` holds b's future-start leaf."""
     cluster = make_cluster()
-    sched = TetriSched(cluster, config())
+    sched = Scheduler.open(cluster, config()).core
     sched.submit(whole_cluster_request(cluster, "a", value=1000.0))
     sched.submit(whole_cluster_request(cluster, "b", value=999.0))
     res = sched.run_cycle(0.0)
@@ -124,7 +125,7 @@ class TestCacheAcrossSupplyChanges:
         outcomes = {}
         for cached in (False, True):
             cluster = Cluster.build(racks=3, nodes_per_rack=4)
-            sched = TetriSched(cluster, config(component_cache=cached))
+            sched = Scheduler.open(cluster, config(component_cache=cached)).core
             racks = {}
             for name in sorted(cluster.node_names):
                 racks.setdefault(name.rsplit("n", 1)[0], []).append(name)
@@ -155,8 +156,8 @@ class TestCacheAcrossSupplyChanges:
 
     def test_cache_hits_accumulate_in_cycle_stats(self):
         cluster = Cluster.build(racks=2, nodes_per_rack=4)
-        sched = TetriSched(cluster, config(component_cache=True,
-                                           warm_start=False))
+        sched = Scheduler.open(cluster, config(component_cache=True,
+                                           warm_start=False)).core
         assert sched._component_cache is not None
         racks = {}
         for name in sorted(cluster.node_names):

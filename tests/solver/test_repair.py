@@ -15,6 +15,7 @@ Three contracts, each load-bearing for the audited-gap story:
 import pytest
 from hypothesis import given, settings
 
+from repro.api import Scheduler
 from repro.solver import (BranchBoundSolver, RepairSolver, SolveOptions,
                           SolveStatus, make_backend)
 from repro.solver.colgen import ColumnGroup, colgen_root, select_lazy
@@ -113,8 +114,7 @@ class TestSchedulerRepairCycle:
     def _run(self, solve_mode):
         from repro.cluster.cluster import Cluster
         from repro.core.queues import PriorityClass
-        from repro.core.scheduler import (JobRequest, TetriSched,
-                                          TetriSchedConfig)
+        from repro.core.scheduler import JobRequest, TetriSchedConfig
         from repro.strl.generator import SpaceOption
         from repro.valuefn import StepValue
 
@@ -122,7 +122,7 @@ class TestSchedulerRepairCycle:
         cfg = TetriSchedConfig(
             quantum_s=8.0, cycle_s=8.0, plan_ahead_s=48.0, backend="pure",
             decomposition=False, solve_mode=solve_mode, audit_mode=True)
-        sched = TetriSched(cluster, cfg)
+        sched = Scheduler.open(cluster, cfg).core
         nodes = frozenset(cluster.node_names)
         # Two 3-of-4 gangs cannot share the rack, but the LP splits them
         # fractionally — the fractional-root regime the dive repairs.

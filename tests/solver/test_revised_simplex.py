@@ -14,7 +14,7 @@ Three families:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.solver import (BranchBoundOptions, BranchBoundSolver, SolveStatus,
                           make_backend, scipy_available)
@@ -101,6 +101,12 @@ class TestRevisedVsTableauVsScipy:
     @needs_scipy
     @settings(max_examples=60, deadline=None)
     @given(lp=mixed_bound_lps())
+    # Unbounded, but HiGHS presolve alone reports it infeasible.
+    @example(lp={"c": np.array([1.0, 0.0, 0.0]),
+                 "a_ub": np.array([[1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]),
+                 "b_ub": np.array([0.0, 1.0]), "a_eq": None, "b_eq": None,
+                 "lb": np.array([-INF, 0.0, -INF]),
+                 "ub": np.array([1.0, 1.0, 1.0])})
     def test_matches_scipy(self, lp):
         from repro.solver.scipy_backend import solve_lp_scipy
         _agree(solve_lp_revised(**lp), solve_lp_scipy(**lp))

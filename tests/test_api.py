@@ -7,7 +7,7 @@ import pytest
 from repro.api import Scheduler, _parse_cluster_spec
 from repro.cluster.cluster import Cluster
 from repro.core.queues import PriorityClass
-from repro.core.scheduler import (JobRequest, TetriSched, TetriSchedConfig,
+from repro.core.scheduler import (JobRequest, TetriSchedConfig,
                                   resolve_config)
 from repro.errors import SchedulerError
 from repro.strl.generator import SpaceOption
@@ -103,11 +103,6 @@ class TestLifecycle:
 
 
 class TestDeprecation:
-    def test_direct_construction_warns(self):
-        cluster = Cluster.build(racks=2, nodes_per_rack=2)
-        with pytest.warns(DeprecationWarning, match="Scheduler.open"):
-            TetriSched(cluster, TetriSchedConfig())
-
     def test_facade_construction_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

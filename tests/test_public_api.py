@@ -123,12 +123,12 @@ class TestDoctests:
 class TestPublicSurface:
     def test_quickstart_flow(self):
         """The README quickstart, executed."""
-        from repro import (Cluster, JobRequest, PriorityClass, SpaceOption,
-                           TetriSched, TetriSchedConfig)
+        from repro import (Cluster, JobRequest, PriorityClass, Scheduler,
+                           SpaceOption, TetriSchedConfig)
         from repro.valuefn import StepValue
 
         cluster = Cluster.build(racks=2, nodes_per_rack=4, gpu_racks=1)
-        sched = TetriSched(cluster, TetriSchedConfig(
+        sched = Scheduler.open(cluster, TetriSchedConfig(
             quantum_s=10, cycle_s=10, plan_ahead_s=96))
         sched.submit(JobRequest(
             job_id="gpu-job",

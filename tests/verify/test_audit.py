@@ -4,8 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
-from repro.core import JobRequest, PriorityClass, TetriSched, TetriSchedConfig
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.errors import ReproError
 from repro.solver import BranchBoundSolver, SolveStatus
 from repro.solver.result import MILPResult
@@ -133,7 +134,7 @@ class TestAuditModePipeline:
         cfg = TetriSchedConfig(quantum_s=10.0, cycle_s=10.0,
                                plan_ahead_s=40.0, backend="pure",
                                rel_gap=1e-6, audit_mode=True, **overrides)
-        return cluster, TetriSched(cluster, cfg)
+        return cluster, Scheduler.open(cluster, cfg).core
 
     def submit(self, cluster, sched, job_id="j1", k=2):
         sched.submit(JobRequest(
@@ -152,8 +153,8 @@ class TestAuditModePipeline:
 
     def test_audit_off_by_default(self):
         cluster = Cluster.build(racks=2, nodes_per_rack=2)
-        sched = TetriSched(cluster, TetriSchedConfig(
-            quantum_s=10.0, cycle_s=10.0, plan_ahead_s=40.0, backend="pure"))
+        sched = Scheduler.open(cluster, TetriSchedConfig(
+            quantum_s=10.0, cycle_s=10.0, plan_ahead_s=40.0, backend="pure")).core
         self.submit(cluster, sched)
         res = sched.run_cycle(0.0)
         assert "audit" not in res.stats.stage_timings
